@@ -236,7 +236,6 @@ def run_channel(
     seed: int = CHANNELS_SEED,
     n_bits: int = 48,
     spec: Optional[FrameSpec] = None,
-    numpy_paths: bool = True,
     out_path: Optional[str] = None,
     report_path: Optional[str] = None,
 ) -> ChannelReport:
@@ -269,7 +268,6 @@ def run_channel(
         config,
         platform=PLATFORMS[platform],
         event_capacity=max(100_000, 2048 * (n_background + 4)),
-        numpy_paths=numpy_paths,
     )
     host_start = time.perf_counter()
 

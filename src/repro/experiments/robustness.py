@@ -327,6 +327,7 @@ _TRIAL_FNS = {
 
 
 def _trial_spec(
+    experiment_id: str,
     icl: str,
     level: float,
     hardened: bool,
@@ -339,7 +340,7 @@ def _trial_spec(
     # differs in params), so each comparison faces the identical fault
     # schedule; the cache still keys on the full params.
     return TrialSpec(
-        experiment_id="robustness",
+        experiment_id=experiment_id,
         trial_index=trial,
         fn=_TRIAL_FNS[icl],
         params=dict(
@@ -402,7 +403,9 @@ def robustness_noise_sweep(
             for hardened in (True, False):
                 for trial in range(trials):
                     specs.append(
-                        _trial_spec(icl, level, hardened, trial, seed, domains)
+                        _trial_spec(
+                            result.figure_id, icl, level, hardened, trial, seed, domains
+                        )
                     )
                     cells.append((icl, level, hardened))
     values = run_trials(specs)
@@ -451,8 +454,8 @@ def differential_answers(
     for icl in icls:
         matches = True
         for trial in range(trials):
-            quiet_spec = _trial_spec(icl, 0.0, True, trial, seed)
-            noisy = _trial_spec(icl, level, True, trial, seed)
+            quiet_spec = _trial_spec("robustness", icl, 0.0, True, trial, seed)
+            noisy = _trial_spec("robustness", icl, level, True, trial, seed)
             # Quiet twin must share the noisy twin's seed so the only
             # difference between the kernels is the injected noise.
             quiet = TrialSpec(

@@ -96,18 +96,19 @@ class CachePolicy(ABC):
             return True
         return False
 
-    def touch_cached_many(self, keys: Sequence[PageKey]) -> bool:
-        """All-or-nothing clean touch of a key sequence; True if all hit.
+    def touch_cached_many(self, keys: Sequence[PageKey], dirty: bool = False) -> bool:
+        """All-or-nothing touch of a key sequence; True if all hit.
 
-        The name-cache replay primitive: when *every* key is present,
-        re-reference each one **in order** (recency/reference updates
-        exactly as ``len(keys)`` individual clean touches would) and
-        count that many hits.  If any key is absent, mutate nothing —
-        no stats, no recency movement — and return False so the caller
-        falls back to the slow walk, which performs and accounts every
-        touch itself.  Membership is verified for the whole sequence
-        before the first reference so a late miss cannot leave partial
-        hit counts behind.  Subclasses override with fused forms.
+        The batch-hit primitive (name-cache replay, resident touch
+        runs): when *every* key is present, re-reference each one **in
+        order** (recency/reference/dirty updates exactly as
+        ``len(keys)`` individual touches would) and count that many
+        hits.  If any key is absent, mutate nothing — no stats, no
+        recency movement — and return False so the caller falls back to
+        the per-page path, which performs and accounts every touch
+        itself.  Membership is verified for the whole sequence before
+        the first reference so a late miss cannot leave partial hit
+        counts behind.  Subclasses override with fused forms.
         """
         contains = self.contains
         for key in keys:
@@ -115,52 +116,20 @@ class CachePolicy(ABC):
                 return False
         reference = self._reference
         for key in keys:
-            reference(key, False)
+            reference(key, dirty)
         self.stats.hits += len(keys)
         return True
 
-    # Batched update primitives ----------------------------------------
-    #
-    # The vectorized fault/read paths verify residency for a whole page
-    # run with one numpy membership test (see repro.sim.vm.residency)
-    # and then need the policy effect of N individual touches without N
-    # key constructions or dict probes.  The contract mirrors
-    # ``replay_token``/``replay`` but is per-page: a *cell* is whatever
-    # token lets this policy re-reference one resident page cheaply
-    # (clock hands out its frame objects; key-addressed policies use the
-    # key itself).  Cells are identity-stable while the page stays
-    # resident and are invalidated by removal — the memory manager's
-    # residency index drops them alongside its presence bits.
-    def resident_cell(self, key: PageKey) -> Any:
-        """The per-page replay cell for a *resident* key (default: the key)."""
-        return key
-
-    def reference_cells(self, cells: Sequence[Any], dirty: bool = False) -> None:
-        """Re-reference resident pages by cell; ≡ ``len(cells)`` touch hits.
-
-        Precondition: every cell belongs to a currently-resident page.
-        Must leave recency/reference/dirty state and the hit count
-        exactly as that many individual :meth:`touch` calls (all hits)
-        in cell order would.
-        """
-        reference = self._reference
-        for key in cells:
-            reference(key, dirty)
-        self.stats.hits += len(cells)
-
-    def insert_absent_many(self, keys: Sequence[PageKey], dirty: bool) -> List[Any]:
+    def insert_absent_many(self, keys: Sequence[PageKey], dirty: bool) -> None:
         """Insert absent pages as one batch; ≡ ``len(keys)`` touch misses.
 
         Precondition: no key is present and the caller has verified
         capacity (no reclaim may be needed at any intermediate step).
-        Returns the new pages' cells in key order so the caller can
-        register them without ``len(keys)`` :meth:`resident_cell` calls.
         """
         insert = self._insert
         for key in keys:
             insert(key, dirty)
         self.stats.misses += len(keys)
-        return list(keys)
 
     def replay_token(self, keys: Sequence[PageKey]) -> Any:
         """An opaque token for O(len)-cheap re-touches of resident keys.

@@ -59,8 +59,8 @@ class ClockPolicy(CachePolicy):
     def _insert(self, key: PageKey, dirty: bool) -> None:
         self._ring_of(key)[key] = _Frame(dirty)
 
-    def touch_cached_many(self, keys) -> bool:
-        """Fused all-or-nothing replay: a clean clock hit sets the bit."""
+    def touch_cached_many(self, keys, dirty: bool = False) -> bool:
+        """Fused all-or-nothing replay: a clock hit sets the bit."""
         ring_of = self._ring_of
         frames = []
         for key in keys:
@@ -68,37 +68,22 @@ class ClockPolicy(CachePolicy):
             if frame is None:
                 return False
             frames.append(frame)
-        for frame in frames:
-            frame.referenced = True
-        self.stats.hits += len(frames)
-        return True
-
-    def resident_cell(self, key: PageKey) -> _Frame:
-        """A page's cell is its frame: identity-stable while resident."""
-        return self._ring_of(key)[key]
-
-    def reference_cells(self, cells, dirty: bool = False) -> None:
-        """Batched clock hit: a reference-bit store per frame, no hashing."""
         if dirty:
-            for frame in cells:
+            for frame in frames:
                 frame.referenced = True
                 frame.dirty = True
         else:
-            for frame in cells:
+            for frame in frames:
                 frame.referenced = True
-        self.stats.hits += len(cells)
+        self.stats.hits += len(frames)
+        return True
 
-    def insert_absent_many(self, keys, dirty: bool):
-        """Batched insert at the back of the ring; returns the new frames."""
-        cells = []
-        append = cells.append
+    def insert_absent_many(self, keys, dirty: bool) -> None:
+        """Batched insert at the back of the ring, in key order."""
         ring_of = self._ring_of
         for key in keys:
-            frame = _Frame(dirty)
-            ring_of(key)[key] = frame
-            append(frame)
+            ring_of(key)[key] = _Frame(dirty)
         self.stats.misses += len(keys)
-        return cells
 
     def replay_token(self, keys):
         """The frame objects themselves: frames are identity-stable while

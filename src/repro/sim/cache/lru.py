@@ -34,15 +34,25 @@ class LRUPolicy(CachePolicy):
     def _insert(self, key: PageKey, dirty: bool) -> None:
         self._pages[key] = dirty
 
-    def touch_cached_many(self, keys) -> bool:
-        """Fused all-or-nothing replay: a clean LRU hit is move-to-end."""
+    def touch_cached_many(self, keys, dirty: bool = False) -> bool:
+        """Fused all-or-nothing replay: an LRU hit is move-to-end.
+
+        ``_reference`` pops and re-appends with the or'd dirty bit; for
+        a known-present key that is exactly ``move_to_end`` (plus a
+        value store when dirtying).
+        """
         pages = self._pages
         for key in keys:
             if key not in pages:
                 return False
         move = pages.move_to_end
-        for key in keys:
-            move(key)
+        if dirty:
+            for key in keys:
+                pages[key] = True
+                move(key)
+        else:
+            for key in keys:
+                move(key)
         self.stats.hits += len(keys)
         return True
 
@@ -54,31 +64,12 @@ class LRUPolicy(CachePolicy):
             move(key)
         self.stats.hits += len(token)
 
-    def reference_cells(self, cells, dirty: bool = False) -> None:
-        """Batched LRU hit: cells are keys; one reorder pass per batch.
-
-        ``_reference`` pops and re-appends with the or'd dirty bit; for
-        a known-present key that is exactly ``move_to_end`` (plus a
-        value store when dirtying), so the fused loop skips the pop.
-        """
-        pages = self._pages
-        move = pages.move_to_end
-        if dirty:
-            for key in cells:
-                pages[key] = True
-                move(key)
-        else:
-            for key in cells:
-                move(key)
-        self.stats.hits += len(cells)
-
-    def insert_absent_many(self, keys, dirty: bool):
+    def insert_absent_many(self, keys, dirty: bool) -> None:
         """Batched insert at the MRU end, in key order."""
         pages = self._pages
         for key in keys:
             pages[key] = dirty
         self.stats.misses += len(keys)
-        return list(keys)
 
     def contains(self, key: PageKey) -> bool:
         return key in self._pages

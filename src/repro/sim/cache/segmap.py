@@ -73,32 +73,26 @@ class SegmapPolicy(CachePolicy):
         self._pages_of(key)[key] = dirty
         self._count += 1
 
-    def touch_cached_many(self, keys) -> bool:
+    def touch_cached_many(self, keys, dirty: bool = False) -> bool:
         """Fused all-or-nothing replay: a clean segmap hit moves nothing."""
         owners = self._owners
         for key in keys:
             pages = owners.get(_owner_of(key))
             if pages is None or key not in pages:
                 return False
+        if dirty:
+            for key in keys:
+                owners[_owner_of(key)][key] = True
         self.stats.hits += len(keys)
         return True
 
-    def reference_cells(self, cells, dirty: bool = False) -> None:
-        """Batched segmap hit: cells are keys; a clean hit moves nothing."""
-        if dirty:
-            owners = self._owners
-            for key in cells:
-                owners[_owner_of(key)][key] = True
-        self.stats.hits += len(cells)
-
-    def insert_absent_many(self, keys, dirty: bool):
+    def insert_absent_many(self, keys, dirty: bool) -> None:
         """Batched insert in key order (owner rows created on demand)."""
         pages_of = self._pages_of
         for key in keys:
             pages_of(key)[key] = dirty
         self._count += len(keys)
         self.stats.misses += len(keys)
-        return list(keys)
 
     def replay_token(self, keys):
         """A clean segmap hit mutates nothing, so the hit count is the

@@ -18,8 +18,6 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.obs.profile import PROFILER
 from repro.sim.cache.base import FileKey
 from repro.sim.clock import Clock
@@ -63,10 +61,6 @@ class FileIO:
         #: set, per-probe elapsed times pass through ``probe_elapsed`` so
         #: the batched and sequential paths observe one noise stream.
         self.inject: Optional[Any] = None
-        #: Gate for the vectorized all-cached pread_batch path;
-        #: ``Kernel(numpy_paths=False)`` turns it off so the differential
-        #: fuzzer can pin it against the scalar per-probe loop.
-        self.numpy_paths: bool = True
 
     def register_syscalls(self, table: SyscallTable) -> None:
         table.register("open", self.sys_open)
@@ -243,70 +237,6 @@ class FileIO:
         # (superseding anything pending), hence the reset.
         pending_stamp: Optional[int] = None
         inject = self.inject
-        # Vectorized pre-pass: when every probe is an in-bounds,
-        # single-page read and every probed page is resident (one numpy
-        # membership test against the file's residency mirror), the
-        # whole batch is hits — one batched policy update, then pure
-        # per-probe arithmetic.  Everything is *decided* before the pool
-        # is touched, so a failed check falls through to the scalar loop
-        # with nothing mutated; the effects are exactly the scalar fast
-        # branch's, probe for probe.
-        if self.numpy_paths and inject is None and len(probes) >= 8:
-            arr = np.asarray(probes)
-            if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind == "i":
-                offs = arr[:, 0]
-                lens = arr[:, 1]
-                if (
-                    int(offs.min()) >= 0
-                    and int(lens.min()) > 0
-                    and int(offs.max()) < size
-                ):
-                    eff = np.minimum(lens, size - offs)
-                    first = offs // page
-                    if bool(
-                        (first == (offs + eff - 1) // page).all()
-                    ) and self.mm.touch_file_pages_resident(fs_id, ino, first):
-                        lo, hi = int(eff.min()), int(eff.max())
-                        if lo == hi:
-                            # The ICL shape: constant probe length, so
-                            # one elapsed value and (without content)
-                            # one shared immutable ProbeRead.
-                            elapsed = overhead + cfg.page_copy_ns(lo)
-                            total = elapsed * len(probes)
-                            if stored is None:
-                                results = [ProbeRead(lo, elapsed)] * len(probes)
-                            else:
-                                results = [
-                                    ProbeRead(lo, elapsed, bytes(stored[o : o + lo]))
-                                    for o in offs.tolist()
-                                ]
-                        else:
-                            elapsed_l = []
-                            for e in eff.tolist():
-                                copy = copy_ns.get(e)
-                                if copy is None:
-                                    copy = cfg.page_copy_ns(e)
-                                    copy_ns[e] = copy
-                                elapsed_l.append(overhead + copy)
-                            total = sum(elapsed_l)
-                            if stored is None:
-                                results = [
-                                    ProbeRead(e, el)
-                                    for e, el in zip(eff.tolist(), elapsed_l)
-                                ]
-                            else:
-                                results = [
-                                    ProbeRead(e, el, bytes(stored[o : o + e]))
-                                    for o, e, el in zip(
-                                        offs.tolist(), eff.tolist(), elapsed_l
-                                    )
-                                ]
-                            elapsed = elapsed_l[-1]
-                        # Every probe is non-empty, so the last probe's
-                        # start-time atime stamp survives, as in the
-                        # scalar loop.
-                        inode.stamp(t0 + total - elapsed, access=True)
-                        return results, total
         # Host-time drill-down of ``syscall.pread_batch``: how much of a
         # batch escapes the single-page cached fast branch.
         profiling = PROFILER.enabled

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-import numpy as np
-
 from repro.sim.cache.base import AnonKey, FileKey, MetaKey, PageEntry
 from repro.sim.config import MachineConfig
 from repro.sim.disk import Disk
@@ -53,29 +51,6 @@ def runs(sorted_values: List[int]) -> Iterable[Tuple[int, int]]:
         yield start, length
 
 
-#: Below this many blocks the Python ``sort`` + ``runs`` pass beats
-#: numpy's fixed per-op overhead; above it ``np.unique`` + one diff
-#: split wins and the margin grows with flush size.  Both compute the
-#: same (start, length) runs, so the crossover is host-time tuning only.
-_NUMPY_RUNS_MIN = 64
-
-
-def runs_array(blocks: List[int]) -> List[Tuple[int, int]]:
-    """``runs(sorted(set(blocks)))`` computed vectorially.
-
-    One ``np.unique`` (sort + dedup) and one ``diff`` split replace the
-    per-element Python loop; identical output to :func:`runs` over the
-    sorted, duplicate-skipping input by construction.
-    """
-    uniq = np.unique(np.asarray(blocks, dtype=np.int64))
-    splits = np.flatnonzero(np.diff(uniq) > 1) + 1
-    starts = np.concatenate(([0], splits))
-    ends = np.concatenate((splits, [uniq.shape[0]]))
-    run_starts = uniq[starts].tolist()
-    lengths = (ends - starts).tolist()
-    return list(zip(run_starts, lengths))
-
-
 class PageCacheManager:
     """Owns cached data-page I/O: fills, writebacks, and throttling.
 
@@ -97,10 +72,6 @@ class PageCacheManager:
         self.swap_disk = swap_disk
         self._fs_by_id = fs_by_id
         self._disk_of_fs = disk_of_fs
-        #: Gate for the vectorized run computation in
-        #: :meth:`write_block_runs`; ``Kernel(numpy_paths=False)`` turns
-        #: it off for the scalar-vs-vector differential fuzzer.
-        self.numpy_paths: bool = True
 
     # ------------------------------------------------------------------
     # Reads
@@ -216,15 +187,8 @@ class PageCacheManager:
         """
         if not blocks:
             return t
-        page = self.config.page_size
-        if self.numpy_paths and len(blocks) >= _NUMPY_RUNS_MIN:
-            # Same runs, one vectorized sort/dedup/split, one batched
-            # disk call servicing the whole storm.
-            return disk.access_runs(runs_array(blocks), t, page, write=True)
         blocks.sort()
-        for start, length in runs(blocks):
-            _s, t = disk.access(start, length, t, page, write=True)
-        return t
+        return disk.access_runs(runs(blocks), t, self.config.page_size, write=True)
 
     def throttle_dirty(self, t: int) -> int:
         """bdflush-style write throttling (charged to the writer).

@@ -52,11 +52,6 @@ class VMLayer:
         #: the batch's early-stop predicate sees the noisy time, exactly
         #: like the user-space sequential loop would).
         self.inject: Optional[Any] = None
-        #: Gate for the vectorized run paths (numpy membership tests +
-        #: batched policy updates).  ``Kernel(numpy_paths=False)`` turns
-        #: them off so the differential fuzzer can pin the vector paths
-        #: against the scalar per-page loop bit for bit.
-        self.numpy_paths: bool = True
 
     def register_syscalls(self, table: SyscallTable) -> None:
         table.register("vm_alloc", self.sys_vm_alloc)
@@ -128,7 +123,7 @@ class VMLayer:
 
         Routing through the batch interior (rather than a bare
         ``touch_one`` loop) gives touch_range the same resident fast
-        check and, when the injector is inert, the same vectorized run
+        check and, when the injector is inert, the same whole-run
         paths — it previously re-walked the full per-page fault path at
         tens of host-milliseconds per warm-up call.
         """
@@ -186,17 +181,17 @@ class VMLayer:
         """Shared touch interior; returns ``(per_page_times, stopped, total)``.
 
         Three tiers, each bit-identical in simulated time and pool state
-        to the scalar loop below it:
+        to the per-page loop below it:
 
-        1. **Vectorized resident run** — every page of the strided run
-           is resident (one numpy membership test): charge
-           ``mem_touch_ns`` per page and apply one batched policy
-           update.  Valid only when no touch can exceed the early-stop
-           threshold, so the predicate provably never trips.
-        2. **Vectorized zero-fill run** — a contiguous, never-touched
-           run the pool can absorb without reclaiming: one batched
-           insert, ``fault_overhead + page_zero`` per page.
-        3. **Scalar loop** — everything else (mixed runs, swap-ins,
+        1. **Resident run** — every page of the strided run is resident
+           (one all-or-nothing policy touch over the run's keys): charge
+           ``mem_touch_ns`` per page.  Valid only when no touch can
+           exceed the early-stop threshold, so the predicate provably
+           never trips.
+        2. **Zero-fill run** — a contiguous, never-touched run the pool
+           can absorb without reclaiming: one batched insert,
+           ``fault_overhead + page_zero`` per page.
+        3. **Per-page loop** — everything else (mixed runs, swap-ins,
            reclaim pressure, an active injector, predicate-visible slow
            touches): the resident fast check per page, ``touch_one``
            for real faults, noise and early-stop applied per touch.
@@ -212,7 +207,7 @@ class VMLayer:
         pid = process.pid
         inject = self.inject
 
-        if inject is None and in_bounds and self.numpy_paths:
+        if inject is None and in_bounds:
             # Tier 1: the whole strided run is resident.  Guard the
             # early-stop predicate: a resident touch costs exactly
             # mem_touch_ns, so with mem_touch_ns <= threshold no
@@ -242,7 +237,7 @@ class VMLayer:
                 )
                 return [zero_ns] * npages, False, npages * zero_ns
 
-        # Tier 3: the scalar loop.  Fast path for the resident case
+        # Tier 3: the per-page loop.  Fast path for the resident case
         # (MAC's verify loops re-touch pages that are overwhelmingly
         # still resident): skip the per-page region lookup/bounds check
         # — validated once for the whole strided range above — and the

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.obs import DISABLED, Observability
 from repro.sim.cache.base import (
@@ -34,7 +34,6 @@ from repro.sim.cache.base import (
 from repro.sim.config import MachineConfig, PlatformSpec
 from repro.sim.errors import OutOfMemory
 from repro.sim.vm.pagedaemon import PageDaemonStats
-from repro.sim.vm.residency import ResidencyIndex
 from repro.sim.vm.swap import SwapSpace
 
 
@@ -84,16 +83,6 @@ class MemoryManager:
         self._anon_pool: CachePolicy = plan.anon_pool
         self._anon_capacity = plan.anon_capacity_pages
         self._unified = plan.unified
-
-        # Array-backed residency mirrors (see repro.sim.vm.residency):
-        # per-(fs_id, ino) file-page presence and per-pid anon-page
-        # presence, each paired with the pool's per-page replay cells.
-        # Every insert/remove below keeps them exact, so the vectorized
-        # fault and read paths can test whole-run membership with one
-        # numpy op.  MetaKeys are not mirrored — no batch path needs
-        # them, and their block numbers are too sparse for dense arrays.
-        self._file_index = ResidencyIndex()
-        self._anon_index = ResidencyIndex()
 
         # File-eviction epoch: bumped whenever any page might leave the
         # file pool (reclaim victims, explicit drops).  While the epoch
@@ -169,23 +158,20 @@ class MemoryManager:
             # below, were re-inserted as fresh frames): either way any
             # outstanding replay token may now be stale.
             self.file_epoch += 1
+        # Decide, then mutate: both failures are detected while the only
+        # change is the popped batch, which the undo puts back.
+        free_slots = self.swap.free_slots
         if len(victims) < shortfall:
             # Pool cannot shrink enough: the machine is truly out of memory.
+            error = f"cannot reclaim {shortfall} pages (pool has {len(pool)})"
+        elif len(victims) > free_slots and self._slots_needed(victims) > free_slots:
+            error = "swap space exhausted"
+        else:
+            error = ""
+        if error:
             for entry in victims:
                 pool.touch(entry.key, entry.dirty)  # undo
-                # Re-inserting allocates fresh cells; the residency
-                # mirrors still carry the pre-eviction ones, so point
-                # them at the new cells before anything replays them.
-                key = entry.key
-                if isinstance(key, AnonKey):
-                    self._anon_index.set(key.pid, key.index, pool.resident_cell(key))
-                elif isinstance(key, FileKey):
-                    self._file_index.set(
-                        (key.fs_id, key.ino), key.index, pool.resident_cell(key)
-                    )
-            raise OutOfMemory(
-                f"cannot reclaim {shortfall} pages (pool has {len(pool)})"
-            )
+            raise OutOfMemory(error)
         stats = self.daemon_stats
         stats.activations += 1
         stats.pages_reclaimed += len(victims)
@@ -198,12 +184,10 @@ class MemoryManager:
                 anon += 1
                 self._anon_resident[key.pid] = self._anon_resident.get(key.pid, 1) - 1
                 self.swap.swap_out(key)
-                self._anon_index.clear(key.pid, key.index)
                 owner: Optional[int] = key.pid
             else:
                 owner = owners.pop(key, None)
                 if isinstance(key, FileKey):
-                    self._file_index.clear((key.fs_id, key.ino), key.index)
                     if entry.dirty:
                         file_written += 1
                         self._dirty_file_pages -= 1
@@ -246,6 +230,14 @@ class MemoryManager:
             )
         return victims
 
+    def _slots_needed(self, victims: List[PageEntry]) -> int:
+        """Fresh swap slots that swapping out ``victims`` would take."""
+        slot_of = self.swap.slot_of
+        return sum(
+            1 for entry in victims
+            if isinstance(entry.key, AnonKey) and slot_of(entry.key) is None
+        )
+
     # ------------------------------------------------------------------
     # File / metadata pages
     # ------------------------------------------------------------------
@@ -264,22 +256,16 @@ class MemoryManager:
         """
         return self._file_pool.touch_cached(key)
 
-    def touch_file_pages_resident(self, fs_id: int, ino: int, pages) -> bool:
-        """Clean bulk touch of one file's pages; True iff all resident.
+    def touch_file_pages_resident(self, fs_id: int, ino: int, pages: Iterable[int]) -> bool:
+        """All-or-nothing clean touch of one file's pages, in order.
 
-        ``pages`` is an integer numpy array of page indexes in probe
-        order (duplicates allowed).  On True, pool state and hit counts
-        are exactly what ``len(pages)`` successful
-        :meth:`touch_file_cached` calls in that order would have left;
-        on False nothing is mutated and the caller takes the scalar
-        path.  One vectorized membership test replaces the per-probe
-        key construction and dict probe.
+        No kernel path calls this any more; it stays only because
+        ``perfbench/instrument.py`` wraps it by name.  Remove the two
+        together.
         """
-        cells = self._file_index.cells_at_if_all_present((fs_id, ino), pages)
-        if cells is None:
-            return False
-        self._file_pool.reference_cells(cells, False)
-        return True
+        return self._file_pool.touch_cached_many(
+            [FileKey(fs_id, ino, page) for page in pages]
+        )
 
     def touch_files_cached(self, keys: Sequence[PageKey]) -> bool:
         """All-or-nothing clean touch of a resident key sequence.
@@ -304,16 +290,10 @@ class MemoryManager:
         if dirty and not self._file_pool.is_dirty(key):
             self._dirty_file_pages += 1
         self._file_pool.touch(key, dirty)
-        if incoming:
-            if isinstance(key, FileKey):
-                self._file_index.set(
-                    (key.fs_id, key.ino), key.index,
-                    self._file_pool.resident_cell(key),
-                )
-            if self.obs.enabled:
-                pid = self.obs.current_pid
-                if pid is not None:
-                    self._page_owner[key] = pid
+        if incoming and self.obs.enabled:
+            pid = self.obs.current_pid
+            if pid is not None:
+                self._page_owner[key] = pid
         return victims
 
     def drop_file_page(self, key: PageKey) -> bool:
@@ -323,8 +303,6 @@ class MemoryManager:
         if removed:
             self.file_epoch += 1
             self._page_owner.pop(key, None)
-            if isinstance(key, FileKey):
-                self._file_index.clear((key.fs_id, key.ino), key.index)
         return removed
 
     def mark_file_clean(self, key: PageKey) -> None:
@@ -387,9 +365,6 @@ class MemoryManager:
 
         victims = self._reclaim(self._anon_pool, self._anon_capacity, 1)
         self._anon_pool.touch(key, dirty=True)
-        self._anon_index.set(
-            key.pid, key.index, self._anon_pool.resident_cell(key)
-        )
         self._anon_resident[key.pid] = self._anon_resident.get(key.pid, 0) + 1
 
         if touched_before and self.swap.slot_of(key) is not None:
@@ -427,15 +402,12 @@ class MemoryManager:
         counts, and the fault counter exactly as that many
         :meth:`anon_fault_resident` calls in order — and return the page
         count.  Returns 0 (nothing mutated) when any page is absent,
-        sending the caller down the scalar fault path.  The membership
-        test is one numpy slice, the touch one
-        :meth:`~repro.sim.cache.base.CachePolicy.reference_cells` call.
+        sending the caller down the per-page fault path.
         """
-        cells = self._anon_index.cells_if_all_present(pid, start, stop, step)
-        if cells is None:
+        keys = [AnonKey(pid, page) for page in range(start, stop, step)]
+        if not self._anon_pool.touch_cached_many(keys, True):
             return 0
-        self._anon_pool.reference_cells(cells, True)
-        count = len(cells)
+        count = len(keys)
         if self.obs.enabled:
             self._fault_counters[FaultKind.RESIDENT].value += count
         return count
@@ -456,11 +428,11 @@ class MemoryManager:
         pool = self._anon_pool
         if len(pool) + count > self._anon_capacity:
             return False
-        if not self._anon_index.all_absent_run(pid, start, stop):
-            return False
         keys = [AnonKey(pid, page) for page in range(start, stop)]
-        cells = pool.insert_absent_many(keys, True)
-        self._anon_index.register_run(pid, start, cells)
+        contains = pool.contains
+        if any(contains(key) for key in keys):
+            return False
+        pool.insert_absent_many(keys, True)
         self._anon_resident[pid] = self._anon_resident.get(pid, 0) + count
         if self.obs.enabled:
             self._fault_counters[FaultKind.ZERO_FILL].value += count
@@ -470,20 +442,15 @@ class MemoryManager:
         """Release pages on vm_free/exit; returns pages actually resident.
 
         Free storms are region-sized (thousands of pages), so the loop
-        binds the pool's remove once, batches the residency-mirror
-        clears under a single owner lookup, and skips the swap-slot
-        sweep entirely while no page of any process is swapped out —
-        the common case for a machine that never came under pressure.
+        binds the pool's remove once and skips the swap-slot sweep
+        entirely while no page of any process is swapped out — the
+        common case for a machine that never came under pressure.
         """
         freed = 0
         remove = self._anon_pool.remove
-        cleared: List[int] = []
         for key in keys:
             if remove(key):
                 freed += 1
-                cleared.append(key.index)
-        if cleared:
-            self._anon_index.clear_many(pid, cleared)
         if self.swap.in_use():
             discard = self.swap.discard
             for key in keys:
@@ -498,4 +465,3 @@ class MemoryManager:
             self._anon_pool.remove(key)
         self.swap.discard_process(pid)
         self._anon_resident.pop(pid, None)
-        self._anon_index.drop_owner(pid)

@@ -158,9 +158,12 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var_x = sum((x - mean_x) ** 2 for x in xs)
     var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0.0 or var_y == 0.0:
+    # sqrt each side first: ``var_x * var_y`` can underflow to 0.0 when
+    # both are tiny.  Subnormal variances lose precision, so clamp.
+    denominator = math.sqrt(var_x) * math.sqrt(var_y)
+    if denominator == 0.0:
         return 0.0
-    return cov / math.sqrt(var_x * var_y)
+    return max(-1.0, min(1.0, cov / denominator))
 
 
 def linear_regression(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:

@@ -120,12 +120,17 @@ def test_chaos_is_deterministic(seed):
 # ---------------------------------------------------------------------------
 def state_digest(kernel: Kernel) -> str:
     """Hash of everything observable about the machine's final state:
-    the clock, the memory pools, and the full filesystem image."""
+    the clock, the memory pools (every page in replacement order with
+    its dirty/reference state, plus hit/miss counters), and the full
+    filesystem image."""
+    mm = kernel.mm
+    pools = {id(mm._file_pool): mm._file_pool, id(mm._anon_pool): mm._anon_pool}
     parts = [
         f"clock:{kernel.clock.now}",
-        f"filepool:{kernel.mm.file_pool_used()}",
-        f"dirty:{kernel.mm.dirty_file_pages}",
+        f"filepool:{mm.file_pool_used()}",
+        f"dirty:{mm.dirty_file_pages}",
         f"swap:{kernel.oracle.swap_used_slots()}",
+        f"pools:{[_policy_dump(pool) for pool in pools.values()]}",
     ]
     for fs_id in sorted(kernel._fs_by_id):
         fs = kernel._fs_by_id[fs_id]
@@ -229,24 +234,37 @@ def _probe_jitter_config(seed: int) -> InjectionConfig:
     )
 
 
-def _run_probe_twin(seed: int, batch: bool, noisy: bool):
+def _run_probe_twin(seed: int, batch: bool, noisy: bool, workout: bool):
     kernel = Kernel(small_config())
     injector = None
     if noisy:
         injector = FaultInjector(_probe_jitter_config(seed))
         injector.install(kernel)
+    mapped = None
+    if workout:
+        # Snapshot while the workout's region is still mapped: freeing
+        # it drops every anon page the touch paths placed.
+        mapped = kernel.run_process(
+            vector_workout(seed, 20, batch, lambda: state_digest(kernel)), "vw"
+        )
     result = kernel.run_process(probe_process(seed, 12, batch), "probe")
     assert result == "survived"
-    return kernel.clock.now, state_digest(kernel)
+    return kernel.clock.now, state_digest(kernel), mapped
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_differential_batch_vs_sequential(noisy):
-    """60 twin pairs per mode: batched and sequential probes agree."""
+    """60 twin pairs per mode: batched and sequential probes agree.
+
+    Half the pairs first run :func:`vector_workout`, so every batch
+    path (whole-run touches, long pread batches, stat replays) is
+    checked against its one-call-per-page form.
+    """
     for case in range(60):
         seed = 0xD1F + 977 * case
-        seq = _run_probe_twin(seed, batch=False, noisy=noisy)
-        bat = _run_probe_twin(seed, batch=True, noisy=noisy)
+        workout = case % 2 == 0
+        seq = _run_probe_twin(seed, batch=False, noisy=noisy, workout=workout)
+        bat = _run_probe_twin(seed, batch=True, noisy=noisy, workout=workout)
         assert seq == bat, (
             f"batch/sequential divergence (noisy={noisy}): reproduce with "
             f"seed={seed} (clock/digest {seq} != {bat})"
@@ -407,24 +425,39 @@ def test_differential_noisy_replay_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized vs scalar: the numpy fast paths must be invisible
+# Batch-path workout and touch-syscall routing
 # ---------------------------------------------------------------------------
-def obs_digest(kernel: Kernel) -> str:
-    """Hash of the full observability stream (simulated stamps only)."""
-    return hashlib.sha256(repr(list(kernel.obs.events)).encode()).hexdigest()
+def vector_workout(seed: int, steps: int, batch: bool, snapshot, page: int = 4 * KIB):
+    """A stream shaped to cross every batch path *and* its per-page
+    fallback: contiguous zero-fill runs, resident re-touch runs,
+    strided batches, uniform and mixed-length pread batches of 10-12
+    probes, dcache stat replays, and large writeback storms.
 
-
-def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
-    """A stream shaped to cross every vectorized fast path *and* its
-    scalar fallback: contiguous zero-fill runs, resident re-touch runs,
-    strided batches, uniform and mixed-length pread batches, dcache
-    stat replays, and writeback storms large enough to take the numpy
-    run-coalescing path."""
+    ``batch=False`` issues the same RNG draws as one ``touch``,
+    ``pread`` or ``stat`` per page, probe or path, so a correct kernel
+    lands both forms on the same clock and machine state.  Returns
+    ``snapshot()`` taken just before the region is freed.
+    """
     rng = random.Random(seed)
+
+    def touches(region, start, npages, stride=1):
+        if batch:
+            yield sc.touch_batch(region, start, npages, stride=stride)
+        else:
+            for index in range(start, start + npages, stride):
+                yield sc.touch(region, index)
+
+    def preads(fd, probes):
+        if batch:
+            yield sc.pread_batch(fd, probes)
+        else:
+            for offset, nbytes in probes:
+                yield sc.pread(fd, offset, nbytes)
+
     fd = (yield sc.create("/mnt0/vw.dat")).value
-    yield sc.write(fd, 2 * MIB)  # > _NUMPY_RUNS_MIN blocks: numpy runs
+    yield sc.write(fd, 2 * MIB)  # 512 dirty blocks: one large writeback storm
     region = (yield sc.vm_alloc(64 * page)).value
-    yield sc.touch_range(region, 0, 64)  # tier-2 zero-fill run
+    yield from touches(region, 0, 64)  # tier-2 zero-fill run
     paths = []
     for i in range(3):
         path = f"/mnt0/vw{i}"
@@ -435,65 +468,46 @@ def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
     for _ in range(steps):
         action = rng.randrange(6)
         if action == 0:
-            yield sc.touch_range(region, rng.randrange(32), 1 + rng.randrange(32))
+            start, npages = rng.randrange(32), 1 + rng.randrange(32)
+            if batch:
+                yield sc.touch_range(region, start, npages)
+            else:
+                yield from touches(region, start, npages)
         elif action == 1:
-            yield sc.touch_batch(
-                region, rng.randrange(8), 1 + rng.randrange(16),
-                stride=1 + rng.randrange(3),
+            yield from touches(
+                region, rng.randrange(8), 1 + rng.randrange(16), 1 + rng.randrange(3)
             )
         elif action == 2:
             offsets = [rng.randrange(2 * MIB) for _ in range(12)]
             length = 1 if rng.randrange(2) else 1 + rng.randrange(64)
-            yield sc.pread_batch(fd, [(o, length) for o in offsets])
+            yield from preads(fd, [(o, length) for o in offsets])
         elif action == 3:
-            # Mixed lengths; some spill over a page edge (scalar path).
+            # Mixed lengths; some spill over a page edge (pread_at path).
             probes = [
                 (rng.randrange(2 * MIB), 1 + rng.randrange(8 * KIB))
                 for _ in range(10)
             ]
-            yield sc.pread_batch(fd, probes)
+            yield from preads(fd, probes)
         elif action == 4:
-            yield sc.stat_batch(paths)
+            if batch:
+                yield sc.stat_batch(paths)
+            else:
+                for path in paths:
+                    yield sc.stat(path)
         else:
             yield sc.write(fd, rng.randrange(1, 128 * KIB))
     yield sc.close(fd)
+    mapped = snapshot()
     yield sc.vm_free(region)
-    return "survived"
-
-
-def _run_mode_twin(seed: int, numpy_paths: bool, noisy: bool):
-    kernel = Kernel(small_config(), numpy_paths=numpy_paths)
-    injector = None
-    if noisy:
-        injector = FaultInjector(_probe_jitter_config(seed))
-        injector.install(kernel)
-    assert kernel.run_process(vector_workout(seed, 20), "vw") == "survived"
-    assert kernel.run_process(probe_process(seed, 10, batch=True), "probe") == "survived"
-    schedule = injector.schedule_digest() if injector is not None else ""
-    return kernel.clock.now, state_digest(kernel), obs_digest(kernel), schedule
+    return mapped
 
 
 @pytest.mark.parametrize("noisy", [False, True])
-def test_differential_numpy_vs_scalar_paths(noisy):
-    """30 twin pairs per mode: a ``numpy_paths=False`` compatibility
-    kernel must be byte-indistinguishable — same clock, same machine
-    state, same obs records, same injector schedule — from the
-    vectorized default over a workload shaped to cross every fast path."""
-    for case in range(30):
-        seed = 0x7EC + 541 * case
-        vec = _run_mode_twin(seed, numpy_paths=True, noisy=noisy)
-        sca = _run_mode_twin(seed, numpy_paths=False, noisy=noisy)
-        assert vec == sca, (
-            f"numpy/scalar divergence (noisy={noisy}): reproduce with "
-            f"seed={seed} ({vec} != {sca})"
-        )
-
-
-@pytest.mark.parametrize("numpy_paths", [True, False])
-def test_differential_touch_range_vs_touch_batch(numpy_paths):
+def test_differential_touch_range_vs_touch_batch(noisy):
     """touch_range must be touch_batch at stride 1 with no predicate:
-    same per-page times, same clock, same machine — in both kernel
-    modes (the two syscalls share one interior; this pins the routing)."""
+    same per-page times, same clock, same machine, with and without
+    probe jitter (the two syscalls share one interior; this pins the
+    routing)."""
     for case in range(12):
         seed = 0x7A9 + 211 * case
         rng = random.Random(seed)
@@ -503,7 +517,9 @@ def test_differential_touch_range_vs_touch_batch(numpy_paths):
         ]
 
         def run(use_range: bool):
-            kernel = Kernel(small_config(), numpy_paths=numpy_paths)
+            kernel = Kernel(small_config())
+            if noisy:
+                FaultInjector(_probe_jitter_config(seed)).install(kernel)
 
             def app():
                 region = (yield sc.vm_alloc(64 * 4 * KIB)).value
@@ -522,8 +538,8 @@ def test_differential_touch_range_vs_touch_batch(numpy_paths):
 
         as_range, as_batch = run(True), run(False)
         assert as_range == as_batch, (
-            f"touch_range/touch_batch divergence "
-            f"(numpy_paths={numpy_paths}): reproduce with seed={seed}"
+            f"touch_range/touch_batch divergence (noisy={noisy}): "
+            f"reproduce with seed={seed}"
         )
 
 
@@ -571,8 +587,9 @@ def _fresh_policies():
     fresh=st.sets(st.integers(min_value=100, max_value=130), max_size=12),
 )
 def test_policy_batch_equals_sequential_fold(warm, hit_picks, batch_dirty, fresh):
-    """``reference_cells`` == N resident touches and
-    ``insert_absent_many`` == N absent touches, for every policy.
+    """``touch_cached_many`` == N resident touches (and nothing at all
+    when any key is absent), ``insert_absent_many`` == N absent
+    touches, for every policy.
 
     The twin policies see the same warm-up stream; then one applies the
     batched primitives while the other folds the equivalent ``touch``
@@ -591,13 +608,15 @@ def test_policy_batch_equals_sequential_fold(warm, hit_picks, batch_dirty, fresh
 
         resident = {key for key in batched.keys()}
         hits = [key_of(i) for i in hit_picks if key_of(i) in resident]
-        if hits:
-            cells = [batched.resident_cell(key) for key in hits]
-            batched.reference_cells(cells, batch_dirty)
-            for key in hits:
-                folded.touch(key, batch_dirty)
-
         absent = [key_of(i) for i in sorted(fresh)]
+        if absent:
+            # All or nothing: one absent key anywhere leaves no trace.
+            assert not batched.touch_cached_many(hits + absent[:1], batch_dirty)
+            assert _policy_dump(batched) == _policy_dump(folded)
+        assert batched.touch_cached_many(hits, batch_dirty)
+        for key in hits:
+            folded.touch(key, batch_dirty)
+
         if absent:
             batched.insert_absent_many(absent, batch_dirty)
             for key in absent:
@@ -689,7 +708,7 @@ def test_chaos_attribution_invariants(seeds, steps):
 
 
 # ======================================================================
-# Covert-channel differential modes
+# Covert-channel replay
 # ======================================================================
 def test_differential_channels_noisy_replay():
     """Same (seed, config) ⇒ identical decoded bits and obs digest.
@@ -708,20 +727,3 @@ def test_differential_channels_noisy_replay():
         assert first.digest == second.digest, channel
         assert first.latencies == second.latencies, channel
         assert first.frame_span_ns == second.frame_span_ns, channel
-
-
-def test_differential_channels_numpy_vs_scalar():
-    """Twin kernels, vectorized vs scalar paths, decode the same frame.
-
-    Simulated behaviour must not depend on the implementation mode:
-    the receiver's latency trace, the decoded bitstring, and the
-    attributed obs stream must match bit for bit.
-    """
-    from repro.experiments.channels import run_channel
-
-    for channel in ("residency", "writeback"):
-        vec = run_channel(channel, noise=0.5, n_bits=24, numpy_paths=True)
-        scalar = run_channel(channel, noise=0.5, n_bits=24, numpy_paths=False)
-        assert vec.latencies == scalar.latencies, channel
-        assert vec.decoded_bits == scalar.decoded_bits, channel
-        assert vec.digest == scalar.digest, channel

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.sim import Kernel, syscalls as sc
-from repro.sim.errors import InvalidArgument
+from repro.sim.cache.base import AnonKey
+from repro.sim.config import DiskSpec
+from repro.sim.errors import InvalidArgument, OutOfMemory
 from tests.conftest import KIB, MIB, small_config
 
 
@@ -151,3 +153,40 @@ class TestPressure:
         kernel.run()
         assert kernel.oracle.daemon_stats().anon_pages_swapped == 0
         assert holder_proc.result is not None
+
+
+class TestSwapExhaustion:
+    def test_out_of_memory_loses_no_page(self):
+        """Swap filling up mid-reclaim must leave every page accounted.
+
+        A 12 MiB pool and a 12,000-slot swap disk cannot hold a 64 MiB
+        heap.  When the touch that overflows swap fails, each page the
+        process touched is still either resident or in a swap slot, and
+        the per-pid resident count matches the pool.
+        """
+        kernel = Kernel(small_config(memory_bytes=20 * MIB, disk=DiskSpec(cylinders=40)))
+        mm = kernel.mm
+        seen = {}
+
+        def hog():
+            pages = 64 * MIB // (4 * KIB)
+            region_id = (yield sc.vm_alloc(pages * 4 * KIB)).value
+            base = proc.address_space.region(region_id).base_page
+            for index in range(pages):
+                try:
+                    yield sc.touch(region_id, index)
+                except OutOfMemory:
+                    keys = [AnonKey(proc.pid, base + i) for i in range(index)]
+                    seen["touched"] = index
+                    seen["resident"] = sum(mm.anon_resident(key) for key in keys)
+                    seen["swapped"] = sum(mm.swap.slot_of(key) is not None for key in keys)
+                    seen["counted"] = mm.resident_anon_pages(proc.pid)
+                    seen["swap_used"] = mm.swap.used_slots
+                    return
+
+        proc = kernel.spawn(hog(), "hog")
+        kernel.run()
+        assert seen, "swap never filled up"
+        assert seen["swapped"] == seen["swap_used"] == mm.swap.capacity_pages
+        assert seen["resident"] + seen["swapped"] == seen["touched"]
+        assert seen["counted"] == seen["resident"]

@@ -247,3 +247,18 @@ class TestDriverParity:
         assert cached.rows == fresh.rows
         assert warm.simulated == 0
         assert warm.cached == cold.trials
+
+
+def test_domain_sweep_telemetry_names_the_variant():
+    """Runner telemetry (and cache file names) carry the sweep's figure
+    id, so the domain variants are told apart from the full sweep."""
+    from repro.experiments.robustness import robustness_noise_sweep
+
+    drain_stats()
+    result = robustness_noise_sweep(
+        levels=(0.0,), trials=1, icls=("mac",), domain="faults"
+    )
+    (stats,) = drain_stats()
+    assert result.figure_id == "robustness-faults"
+    assert stats.experiment_id == "robustness-faults"
+    assert stats.summary().startswith("robustness-faults:")

@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.toolbox.stats import (
     OnlineStats,
@@ -117,6 +117,8 @@ class TestCorrelation:
 
     @settings(max_examples=40, deadline=None)
     @given(pairs=st.lists(st.tuples(floats, floats), min_size=2, max_size=40))
+    @example(pairs=[(0, 3.5e-161), (0.0625, 0)])  # var_x * var_y underflows
+    @example(pairs=[(0, 5.4e-162), (0.0625, 0)])  # subnormal var_y: |r| ≈ 1.21
     def test_result_bounded(self, pairs):
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]
