@@ -27,11 +27,8 @@ run against a baseline file — ratios, not absolute throughput, so the
 gate is meaningful across machines — and exits non-zero when the
 batched path's advantage has regressed by more than 20%.
 
-``--profile`` runs one extra, *separate* pass with the
-:mod:`repro.obs.profile` section profiler enabled and attaches the
-hot-path breakdown (top host-time sections) to the artifact under
-``"profile"``.  The gated measurements always come from the unprofiled
-pass, so profiling overhead can never contaminate a gate.
+Where the host time goes, layer by layer, is the end-to-end
+benchmark's job: ``python3 perfbench/run.py --workload W --trace 1``.
 
 Under pytest this module contributes one smoke test asserting the
 headline target: ≥3× pread-probe throughput on the batched path.
@@ -102,13 +99,6 @@ SPEEDUP_FLOORS = {
 #: median pair ratio is reported.  One smoke scan is ~10 ms, and single
 #: shots measured anywhere from 0.3x to 1.7x on the same code.
 FIG2_MIN_SECONDS = 0.5
-
-# Ceiling on any single ``syscall.*`` section's share of profiled host
-# time.  A section crossing it means one syscall path has re-grown into
-# the dominant cost (an early profile had syscall.pread at 27% and
-# nothing else close); the gate applies whenever a --profile pass is
-# attached.
-PROFILE_SHARE_CEILING = 0.35
 
 
 def _config() -> MachineConfig:
@@ -439,47 +429,6 @@ def run_suite(smoke: bool = False) -> Dict:
     }
 
 
-def run_profile_pass(smoke: bool = False) -> Dict:
-    """One profiled pass over the probe benches; returns the breakdown.
-
-    Runs *after* (and independently of) the gated suite: the profiler is
-    enabled only inside this function, so its per-hook cost is visible
-    here and nowhere else.  Sections named ``syscall.*`` /
-    ``sched.next_ready`` / ``proc.advance`` locate the dispatch loop's
-    time; dotted batch subsections (``pread_batch.fallback`` …) nest
-    inside their syscall section — see :mod:`repro.obs.profile`.
-    """
-    from repro.obs.profile import PROFILER
-
-    if smoke:
-        params = dict(
-            pread=dict(n_probes=4_000, batch_size=256),
-            touch=dict(n_pages=4_000, rounds=1, batch_size=256),
-            stat=dict(n_files=200, rounds=4, batch_size=100),
-            fig2=dict(size_mb=16, prediction_unit=64 * KIB),
-        )
-    else:
-        params = dict(
-            pread=dict(n_probes=40_000, batch_size=256),
-            touch=dict(n_pages=8_000, rounds=5, batch_size=256),
-            stat=dict(n_files=500, rounds=16, batch_size=250),
-            fig2=dict(size_mb=48, prediction_unit=16 * KIB),
-        )
-    PROFILER.clear()
-    PROFILER.enable()
-    try:
-        bench_pread_probes(**params["pread"])
-        bench_touch_probes(**params["touch"])
-        bench_stat_probes(**params["stat"])
-        bench_fig2_scan(**params["fig2"], min_seconds=0.0)
-    finally:
-        PROFILER.disable()
-    rows = PROFILER.rows()
-    report = PROFILER.report(top=10)
-    PROFILER.clear()
-    return {"top_sections": rows[:10], "table": report}
-
-
 def check_regression(current: Dict, baseline: Dict) -> List[str]:
     """Speedup-ratio gate; returns a list of failure messages."""
     failures = []
@@ -528,23 +477,6 @@ def check_regression(current: Dict, baseline: Dict) -> List[str]:
     fig2 = current.get("results", {}).get("fig2_scan", {})
     if fig2 and not fig2.get("simulated_ns_equal", True):
         failures.append("fig2_scan: batched simulated time diverged from sequential")
-    return failures
-
-
-def check_profile_shares(profile: Dict) -> List[str]:
-    """No single ``syscall.*`` section may dominate the profiled pass."""
-    failures = []
-    for row in profile.get("top_sections", []):
-        section = row.get("section", "")
-        # Dotted subsections (``touch_batch.fault`` …) nest *inside*
-        # their syscall's section time; gating them too would double
-        # count.  Only top-level syscall sections are shares of the
-        # dispatch loop.
-        if section.startswith("syscall.") and row.get("share", 0.0) > PROFILE_SHARE_CEILING:
-            failures.append(
-                f"profile: {section} holds {row['share']:.1%} of profiled "
-                f"host time (ceiling {PROFILE_SHARE_CEILING:.0%})"
-            )
     return failures
 
 
@@ -606,26 +538,15 @@ def main(argv: List[str] = None) -> int:
         "--check", type=Path, default=None, metavar="BASELINE",
         help="compare speedups against a baseline JSON; exit 1 on >20%% regression",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="add a separate profiled pass; hot-path table lands in the artifact",
-    )
     args = parser.parse_args(argv)
 
     current = run_suite(smoke=args.smoke)
     for key, entry in current["results"].items():
         print(f"{key}: {json.dumps(entry)}")
 
-    if args.profile:
-        current["profile"] = run_profile_pass(smoke=args.smoke)
-        print("\nhost-time hot paths (profiled pass, not gated):")
-        print(current["profile"]["table"])
-
     if args.check is not None:
         baseline = json.loads(args.check.read_text())
         failures = check_regression(current, baseline)
-        if "profile" in current:
-            failures.extend(check_profile_shares(current["profile"]))
         print("\nbaseline -> current deltas:")
         print(delta_table(current, baseline))
         # The gate run must not clobber the committed baseline.  Compare
@@ -670,20 +591,6 @@ def test_fig2_scan_simulated_time_identical():
     """Batching is wall-clock only: the simulated scan time must not move."""
     entry = bench_fig2_scan(size_mb=16, prediction_unit=64 * KIB, min_seconds=0.0)
     assert entry["simulated_ns_equal"], entry
-
-
-def test_no_syscall_section_dominates_committed_profile():
-    """The committed baseline's profile must stay flat.
-
-    No single ``syscall.*`` section should hold more than
-    :data:`PROFILE_SHARE_CEILING` of profiled host time — a section
-    crossing it means one syscall path has re-grown into the dominant
-    cost and the artifact needs regenerating (or the path needs fixing).
-    """
-    baseline = json.loads(DEFAULT_OUTPUT.read_text())
-    profile = baseline.get("profile")
-    assert profile, "BENCH_core.json lacks a profile pass; regenerate with --profile"
-    assert check_profile_shares(profile) == []
 
 
 if __name__ == "__main__":

@@ -6,20 +6,11 @@ observability and with a disabled instance swapped in, takes the best
 of several rounds each (min is the noise-robust statistic for a
 deterministic workload), and asserts the instrumented run stays within
 the 10% budget the layer was designed against.
-
-The host-time profiler's hooks (:mod:`repro.obs.profile`) are compiled
-into the same hot paths, so the 10% gate runs with the profiler's
-sections *registered* (but the profiler off) — the configuration every
-normal run ships with.  The cost of the disabled hook itself — one
-attribute load plus one predictable branch — is measured separately by
-:func:`test_profiler_disabled_hook_cost` and printed in nanoseconds per
-hook; it is far below what the workload gate could resolve.
 """
 
 import time
 
 from repro.obs import Observability
-from repro.obs.profile import PROFILER
 from repro.sim import Kernel, MachineConfig
 
 KIB = 1024
@@ -78,15 +69,6 @@ ATTEMPTS = 3
 
 def test_obs_overhead_within_budget(benchmark):
     def compare():
-        # Register the profiler's hot-path sections (one profiled pass)
-        # and then disable it again: the gate below must price the
-        # always-on configuration — attribution + metrics + events on,
-        # profiler hooks present but off, registry non-empty.
-        PROFILER.clear()
-        PROFILER.enable()
-        _run_workload(True)
-        PROFILER.disable()
-        assert PROFILER.rows(), "profiled warm-up registered no sections"
         # Warm up both variants once (imports, allocator, CPU state).
         # Each attempt interleaves its timed rounds so transient host
         # noise lands on both sides equally, and takes min (the
@@ -119,43 +101,4 @@ def test_obs_overhead_within_budget(benchmark):
     assert ratio <= 1.10, (
         f"observability overhead {ratio - 1:+.1%} exceeds the 10% budget"
         f" on {ATTEMPTS} independent attempts"
-    )
-
-
-def test_profiler_disabled_hook_cost():
-    """Price one disabled profiler hook; documentably negligible.
-
-    The hook's disabled path is ``if PROFILER.enabled:`` — an attribute
-    load and a branch.  This micro-measurement subtracts an identical
-    bare loop from a hook loop and reports the difference per
-    iteration.  The bound is deliberately loose (500 ns is ~100x the
-    real cost): the assertion exists to catch a future hook accidentally
-    doing work while disabled, not to benchmark the branch predictor.
-    """
-    assert not PROFILER.enabled
-    n = 200_000
-    iterations = range(n)
-
-    def hook_loop() -> float:
-        t0 = time.process_time()
-        for _ in iterations:
-            if PROFILER.enabled:
-                time.perf_counter_ns()
-        return time.process_time() - t0
-
-    def bare_loop() -> float:
-        t0 = time.process_time()
-        for _ in iterations:
-            pass
-        return time.process_time() - t0
-
-    hook_loop(), bare_loop()  # warm-up
-    hooked = min(hook_loop() for _ in range(5))
-    bare = min(bare_loop() for _ in range(5))
-    per_hook_ns = max(hooked - bare, 0.0) / n * 1e9
-    print(f"\ndisabled profiler hook: {per_hook_ns:.1f} ns "
-          f"(hook loop {hooked * 1e3:.1f}ms, bare loop {bare * 1e3:.1f}ms)")
-    assert per_hook_ns < 500, (
-        f"disabled profiler hook costs {per_hook_ns:.0f} ns - it should be "
-        f"an attribute load and a branch"
     )

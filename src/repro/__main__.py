@@ -139,7 +139,10 @@ def main(argv) -> int:
     i = 0
     while i < len(args):
         arg = args[i]
-        if arg == "--plot":
+        if arg in ("-h", "--help"):
+            print(USAGE)
+            return 0
+        elif arg == "--plot":
             plot = True
         elif arg == "--no-cache":
             use_cache = False

@@ -22,11 +22,9 @@ cached or evicted together.  From there:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.icl.base import ICL, TechniqueProfile, register_icl
-from repro.obs.profile import PROFILER
 from repro.sim import syscalls as sc
 from repro.sim.clock import SECONDS
 from repro.toolbox.cluster import two_means
@@ -270,8 +268,6 @@ class FCCD(ICL):
                 segments = yield from self.probe_fd(fd, size, align)
                 all_rounds.append(segments)
                 budget -= 1
-        # Host-side sweep analysis (no yields): profiled as icl.fccd.merge.
-        _h0 = perf_counter_ns() if PROFILER.enabled else 0
         merged: List[AccessSegment] = []
         for per_segment in zip(*all_rounds):
             times = sorted(s.probe_ns for s in per_segment)
@@ -289,8 +285,6 @@ class FCCD(ICL):
                     probes=sum(s.probes for s in per_segment),
                 )
             )
-        if PROFILER.enabled:
-            PROFILER.add("icl.fccd.merge", perf_counter_ns() - _h0)
         return merged
 
     @staticmethod
@@ -381,12 +375,9 @@ class FCCD(ICL):
             plans = {}
             for path in paths:
                 plans[path] = yield from self.plan_file(path, align, rounds=rounds)
-            _h0 = perf_counter_ns() if PROFILER.enabled else 0
             scores = [plans[path].mean_probe_ns for path in paths]
             split = two_means(scores) if scores else None
             confidence = split.confidence if split is not None else 0.0
-            if PROFILER.enabled:
-                PROFILER.add("icl.fccd.cluster", perf_counter_ns() - _h0)
             if confidence >= min_confidence or attempts >= self.max_resamples:
                 break
             attempts += 1

@@ -18,11 +18,9 @@ the directory's cylinder group.  Therefore:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.icl.base import ICL, TechniqueProfile, register_icl
-from repro.obs.profile import PROFILER
 from repro.sim import syscalls as sc
 from repro.sim.fs.inode import StatResult
 
@@ -91,13 +89,7 @@ class FLDC(ICL):
     def layout_order(self, paths: Sequence[str]) -> Generator:
         """Paths sorted by probable disk layout: (filesystem, i-number)."""
         stats = yield from self.stat_files(paths)
-        # Host-side sweep analysis (no yields): profiled as icl.fldc.order.
-        if PROFILER.enabled:
-            _h0 = perf_counter_ns()
-            ordered = sorted(paths, key=lambda p: (stats[p].fs_id, stats[p].ino))
-            PROFILER.add("icl.fldc.order", perf_counter_ns() - _h0)
-        else:
-            ordered = sorted(paths, key=lambda p: (stats[p].fs_id, stats[p].ino))
+        ordered = sorted(paths, key=lambda p: (stats[p].fs_id, stats[p].ino))
         return ordered, stats
 
     def write_time_order(self, paths: Sequence[str]) -> Generator:

@@ -45,7 +45,7 @@ Scalability
 A grant is O(log N): the turn order lives in one heap of
 ``(policy key, index)`` entries, one entry per live client, so no policy
 ever scans the client table per dispatch; the scheduler underneath grew
-amortized PCB-table growth and ``reap()`` for the same reason.  The
+``reap()`` for the same reason.  The
 tracked ``bench_arena.py`` suite gates per-step cost at N=1024 within
 3x of N=1.
 """

@@ -15,10 +15,8 @@ through :class:`~repro.sim.pagecache.PageCacheManager`.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.profile import PROFILER
 from repro.sim.cache.base import FileKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
@@ -237,9 +235,6 @@ class FileIO:
         # (superseding anything pending), hence the reset.
         pending_stamp: Optional[int] = None
         inject = self.inject
-        # Host-time drill-down of ``syscall.pread_batch``: how much of a
-        # batch escapes the single-page cached fast branch.
-        profiling = PROFILER.enabled
         for offset, nbytes in probes:
             if 0 <= offset < size and nbytes > 0:
                 end = offset + nbytes
@@ -265,12 +260,7 @@ class FileIO:
                     pending_stamp = t
                     t += elapsed
                     continue
-            if profiling:
-                _h0 = perf_counter_ns()
-                value, finish = self.pread_at(entry, offset, nbytes, t)
-                PROFILER.add("pread_batch.fallback", perf_counter_ns() - _h0)
-            else:
-                value, finish = self.pread_at(entry, offset, nbytes, t)
+            value, finish = self.pread_at(entry, offset, nbytes, t)
             elapsed = finish - t
             if inject is not None:
                 elapsed = inject.probe_elapsed("pread", elapsed)

@@ -29,11 +29,9 @@ Tests and the experiment harness use :class:`Oracle` for ground truth.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.obs import Observability
-from repro.obs.profile import PROFILER
 from repro.sim.cache.base import AnonKey, FileKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig, PlatformSpec, linux22
@@ -221,66 +219,36 @@ class Kernel:
     def run(self, max_steps: Optional[int] = None) -> None:
         """Run until every process finishes (or ``max_steps`` syscalls).
 
-        The common single-process case stays on the scheduler's
-        fast slot (no heap traffic); bound methods are hoisted out of
-        the loop because this is the simulator's hottest few lines.
+        :meth:`run_until_blocked` plus deadlock detection: once nothing
+        is READY, any process still BLOCKED can never wake.
         """
-        next_ready = self.scheduler.next_ready
-        advance_to = self.clock.advance_to
-        step = self._step
-        profiler = PROFILER
-        steps = 0
-        try:
-            while True:
-                if profiler.enabled:
-                    _t0 = perf_counter_ns()
-                    process = next_ready()
-                    profiler.add("sched.next_ready", perf_counter_ns() - _t0)
-                else:
-                    process = next_ready()
-                if process is None:
-                    blocked = self.scheduler.blocked()
-                    if blocked:
-                        names = ", ".join(p.name for p in blocked)
-                        raise RuntimeError(
-                            f"deadlock: blocked processes remain: {names}"
-                        )
-                    return
-                advance_to(process.ready_at)
-                step(process)
-                steps += 1
-                if max_steps is not None and steps >= max_steps:
-                    raise RuntimeError(f"exceeded max_steps={max_steps}")
-        finally:
-            # Attribution ends with the dispatch loop: host-side records
-            # emitted after run() must not inherit the last pid.
-            self.obs.set_pid(None)
+        self.run_until_blocked(max_steps)
+        blocked = self.scheduler.blocked()
+        if blocked:
+            names = ", ".join(p.name for p in blocked)
+            raise RuntimeError(f"deadlock: blocked processes remain: {names}")
 
     def run_until_blocked(self, max_steps: Optional[int] = None) -> int:
         """Dispatch until no process is READY; returns syscalls executed.
 
-        The arena's slice primitive (:mod:`repro.sim.arena`): between
-        grants every client is BLOCKED on ``arena_park``, which
-        :meth:`run` would report as a deadlock.  Here remaining blocked
-        processes are the *expected* end state of a slice — the caller,
-        which knows which blocks are deliberate parks, owns deadlock
-        detection.  Dispatch itself is identical to :meth:`run`, so
-        anything a slice wakes (children, pipe peers) proceeds by
-        simulated readiness exactly as it would there.
+        The kernel's one dispatch loop.  It is also the arena's slice
+        primitive (:mod:`repro.sim.arena`): between grants every client
+        is BLOCKED on ``arena_park``, which :meth:`run` would report as
+        a deadlock.  Here remaining blocked processes are the *expected*
+        end state of a slice — the caller, which knows which blocks are
+        deliberate parks, owns deadlock detection.
+
+        The common single-process case stays on the scheduler's fast
+        slot (no heap traffic); bound methods are hoisted out of the
+        loop because this is the simulator's hottest few lines.
         """
         next_ready = self.scheduler.next_ready
         advance_to = self.clock.advance_to
         step = self._step
-        profiler = PROFILER
         steps = 0
         try:
             while True:
-                if profiler.enabled:
-                    _t0 = perf_counter_ns()
-                    process = next_ready()
-                    profiler.add("sched.next_ready", perf_counter_ns() - _t0)
-                else:
-                    process = next_ready()
+                process = next_ready()
                 if process is None:
                     return steps
                 advance_to(process.ready_at)
@@ -289,6 +257,8 @@ class Kernel:
                 if max_steps is not None and steps >= max_steps:
                     raise RuntimeError(f"exceeded max_steps={max_steps}")
         finally:
+            # Attribution ends with the dispatch loop: host-side records
+            # emitted after it must not inherit the last pid.
             self.obs.set_pid(None)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
@@ -310,9 +280,6 @@ class Kernel:
         if retry is not None:
             self._execute(process, retry)
             return
-        profiling = PROFILER.enabled
-        if profiling:
-            _t0 = perf_counter_ns()
         try:
             if process.pending_exception is not None:
                 exc = process.pending_exception
@@ -324,12 +291,8 @@ class Kernel:
             else:
                 item = process.gen.send(process.pending_value)
         except StopIteration as stop:
-            if profiling:
-                PROFILER.add("proc.advance", perf_counter_ns() - _t0)
             self._exit_process(process, stop.value)
             return
-        if profiling:
-            PROFILER.add("proc.advance", perf_counter_ns() - _t0)
         if not isinstance(item, Syscall):
             raise TypeError(
                 f"{process.name} yielded {item!r}; processes must yield Syscall objects"
@@ -347,12 +310,7 @@ class Kernel:
         start = self.clock.now
         process.stats.syscalls += 1
         try:
-            if PROFILER.enabled:
-                _t0 = perf_counter_ns()
-                outcome = handler(process, *syscall.args)
-                PROFILER.add("syscall." + syscall.name, perf_counter_ns() - _t0)
-            else:
-                outcome = handler(process, *syscall.args)
+            outcome = handler(process, *syscall.args)
         except SimOSError as err:
             # Deliver the failure into the process after the base overhead.
             self.obs.record_syscall_error(syscall.name)

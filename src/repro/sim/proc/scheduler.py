@@ -39,15 +39,9 @@ from repro.sim.proc.process import Process, ProcessState
 # cost more than the handful of stale pops it saves.
 COMPACT_MIN_ENTRIES = 16
 
-# PCB-table state codes (see Scheduler: parallel arrays indexed by pid).
-# Plain ints: the dispatch loop's validity test compares these with
-# ``==`` on list loads instead of chasing ``process.state`` enum
-# attributes.  ``Process.state`` keeps the ProcessState enum as the
-# public view; the scheduler mirrors it here at every transition.
-_FREE = -1
-_READY = 0
-_BLOCKED = 1
-_DONE = 2
+# Hoisted: an enum member lookup through the class costs ~10x a
+# module-global load, and the dispatch loop tests every entry.
+_READY = ProcessState.READY
 
 
 @dataclass
@@ -79,14 +73,6 @@ class Scheduler:
         self._seq = 0
         self.processes: Dict[int, Process] = {}  # live (READY/BLOCKED) only
         self.finished: Dict[int, Process] = {}  # DONE, kept for waitpid
-        # PCB table: parallel arrays indexed by pid slot (pids are
-        # assigned densely from 1, so a list is a perfect-hash pid map).
-        # Dispatch validity is three list loads — state code, wake time,
-        # Process ref — instead of a dict probe plus two attribute
-        # chases through the Process object.
-        self._state_tab: List[int] = [_FREE]  # slot 0 unused
-        self._ready_tab: List[int] = [0]
-        self._proc_tab: List[Optional[Process]] = [None]
         self.stats = SchedulerStats()
         self._last_pid: Optional[int] = None
         self._runnable = 0
@@ -97,19 +83,7 @@ class Scheduler:
         self.wake_delay_hook: Optional[Callable[[int, int], int]] = None
 
     def add(self, process: Process) -> None:
-        pid = process.pid
-        self.processes[pid] = process
-        tab = self._proc_tab
-        if len(tab) <= pid:
-            # Amortized growth: double capacity (at least to pid+1) with
-            # one extend per array instead of appending slot-by-slot —
-            # the arena spawns thousands of clients back to back, and
-            # per-spawn cost must not scale with the table size.
-            grow = max(pid + 1 - len(tab), len(tab))
-            tab.extend([None] * grow)
-            self._state_tab.extend([_FREE] * grow)
-            self._ready_tab.extend([0] * grow)
-        tab[pid] = process
+        self.processes[process.pid] = process
         self._runnable += 1  # processes are born READY
         self.make_ready(process, process.ready_at)
 
@@ -121,9 +95,6 @@ class Scheduler:
             self._runnable += 1
         process.state = ProcessState.READY
         process.ready_at = at
-        pid = process.pid
-        self._state_tab[pid] = _READY
-        self._ready_tab[pid] = at
         self._seq += 1
         entry = (at, self._seq, process.pid)
         if self._fast is None and not self._heap:
@@ -140,7 +111,6 @@ class Scheduler:
             self._runnable -= 1
             self._blocked += 1
         process.state = ProcessState.BLOCKED
-        self._state_tab[process.pid] = _BLOCKED
         self._maybe_compact()
 
     def finish(self, process: Process) -> None:
@@ -154,11 +124,8 @@ class Scheduler:
         elif process.state is ProcessState.BLOCKED:
             self._blocked -= 1
         process.state = ProcessState.DONE
-        pid = process.pid
-        self._state_tab[pid] = _DONE
-        self._proc_tab[pid] = None  # finished dict keeps the waitpid ref
-        self.processes.pop(pid, None)
-        self.finished[pid] = process
+        self.processes.pop(process.pid, None)
+        self.finished[process.pid] = process
 
     def reap(self, pid: int) -> bool:
         """Drop a DONE process's PCB entirely; ``waitpid`` loses sight of it.
@@ -171,13 +138,7 @@ class Scheduler:
         (still live, never spawned, or already reaped) — live processes
         are deliberately not reapable.
         """
-        process = self.finished.pop(pid, None)
-        if process is None:
-            return False
-        # Free the PCB slot: any stale heap entry for this pid now fails
-        # the `_READY` validity test exactly as it did under `_DONE`.
-        self._state_tab[pid] = _FREE
-        return True
+        return self.finished.pop(pid, None) is not None
 
     def lookup(self, pid: int) -> Optional[Process]:
         """Find a process, live or finished (the waitpid view)."""
@@ -189,12 +150,11 @@ class Scheduler:
     def next_ready(self) -> Optional[Process]:
         """Pop the earliest READY process, discarding stale entries.
 
-        Entry validity reads the PCB arrays, not the Process objects:
-        heap entries only exist for pids that passed through
-        :meth:`add`, so the pid is always within the table.
+        An entry is live when its pid is still in :attr:`processes`
+        (finished and reaped pids are not), READY, and due at the
+        entry's time; anything else was superseded or blocked.
         """
-        state_tab = self._state_tab
-        ready_tab = self._ready_tab
+        get = self.processes.get
         stats = self.stats
         while True:
             if self._fast is not None:
@@ -206,27 +166,35 @@ class Scheduler:
                 fast = False
             else:
                 return None
-            if state_tab[pid] == _READY and ready_tab[pid] == entry_at:
+            process = get(pid)
+            if (
+                process is not None
+                and process.state is _READY
+                and process.ready_at == entry_at
+            ):
                 stats.dispatches += 1
                 if fast:
                     stats.fast_dispatches += 1
                 if pid != self._last_pid:
                     stats.context_switches += 1
                     self._last_pid = pid
-                return self._proc_tab[pid]
+                return process
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap when stale entries dominate live ones."""
         heap = self._heap
         if len(heap) < COMPACT_MIN_ENTRIES or len(heap) <= 2 * self._runnable:
             return
-        state_tab = self._state_tab
-        ready_tab = self._ready_tab
-        live = [
-            entry
-            for entry in heap
-            if state_tab[entry[2]] == _READY and ready_tab[entry[2]] == entry[0]
-        ]
+        get = self.processes.get
+        live = []
+        for entry in heap:
+            process = get(entry[2])
+            if (
+                process is not None
+                and process.state is _READY
+                and process.ready_at == entry[0]
+            ):
+                live.append(entry)
         heapq.heapify(live)
         self._heap = live
         self.stats.heap_compactions += 1

@@ -479,7 +479,7 @@ def test_render_matrix_truncates_large_matrices():
 
 
 # ======================================================================
-# Scheduler support: batch growth and reap
+# Scheduler support: reap
 # ======================================================================
 def test_scheduler_reap_frees_finished_slots():
     kernel = Kernel(small_config())

@@ -17,6 +17,15 @@ class TestCli:
     def test_no_args_is_usage_error(self, capsys):
         assert main(["repro"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["arena", "--help"], ["fig1", "-h"]]
+    )
+    def test_help_prints_usage_and_succeeds(self, capsys, argv):
+        assert main(["repro", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: python -m repro")
+        assert captured.err == ""
+
     def test_unknown_name_is_error(self, capsys):
         assert main(["repro", "fig99"]) == 2
         assert "fig99" in capsys.readouterr().err

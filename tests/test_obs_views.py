@@ -1,4 +1,4 @@
-"""Attribution views, Chrome trace export, and the host-time profiler.
+"""Attribution views and Chrome trace export.
 
 Three families of checks:
 
@@ -24,7 +24,6 @@ from repro.obs.chrome import (
     write_chrome_trace,
 )
 from repro.obs.export import summarize_pids, validate_jsonl, write_jsonl
-from repro.obs.profile import Profiler
 from repro.obs.views import (
     UNATTRIBUTED,
     ObsView,
@@ -248,51 +247,6 @@ def test_summarize_pids_names_each_client(two_client_kernel):
     text = summarize_pids(list(kernel.obs.dump_records()))
     assert "writer" in text and "statter" in text
     assert str(a.pid) in text and str(b.pid) in text
-
-
-# ======================================================================
-# Profiler
-# ======================================================================
-def test_profiler_disabled_by_default():
-    prof = Profiler()
-    assert not prof.enabled
-    assert prof.rows() == []
-    assert isinstance(prof.time(), int)
-    # Hooks gate on `enabled` themselves; `section` is get-or-create.
-    assert prof.section("x") is prof.section("x")
-    assert prof.section("x").calls == 0
-
-
-def test_profiler_accumulates_and_ranks():
-    prof = Profiler().enable()
-    prof.add("slow", 3000)
-    prof.add("slow", 1000)
-    prof.add("fast", 10)
-    rows = prof.rows()
-    assert rows[0]["section"] == "slow"
-    assert prof.section("slow").calls == 2
-    assert prof.section("slow").total_ns == 4000
-    assert prof.section("slow").mean_ns == 2000
-    assert abs(sum(r["share"] for r in rows) - 1.0) < 0.01
-    report = prof.report(top=1)
-    assert "slow" in report and "fast" not in report
-
-
-def test_profiler_reset_and_clear():
-    prof = Profiler().enable()
-    prof.add("a", 5)
-    prof.reset()
-    assert prof.section("a").calls == 0     # sections survive, zeroed
-    prof.add("a", 5)
-    prof.clear()
-    assert not prof.rows()                  # registry emptied
-
-
-def test_profiler_rows_top_limits():
-    prof = Profiler().enable()
-    for i in range(5):
-        prof.add(f"s{i}", i + 1)
-    assert len(prof.rows(top=3)) == 3
 
 
 # ======================================================================

@@ -176,6 +176,27 @@ class TestScheduler:
         )
         assert sched.next_ready() is procs[0]
 
+    def test_reaped_process_never_returns_from_a_stale_entry(self):
+        sched = Scheduler()
+        gone = self._proc(1, 10)
+        sched.add(gone)
+        sched.make_ready(gone, 5)  # supersedes the entry at 10
+        assert sched.next_ready() is gone
+        # Re-queue at the stale entry's time, so two heap entries now
+        # match the PCB's wake time, then retire the process while READY.
+        sched.make_ready(gone, 10)
+        sched.finish(gone)
+        assert sched.reap(gone.pid)
+        others = [self._proc(pid, 100 + pid) for pid in range(2, 22)]
+        for p in others:
+            sched.add(p)
+        for p in others[1:]:
+            sched.block(p)  # each block() may compact the heap
+        assert sched.stats.heap_compactions >= 1
+        assert all(entry[2] != gone.pid for entry in sched._heap)
+        assert sched.next_ready() is others[0]
+        assert sched.next_ready() is None
+
     def test_waitpid_semantics_survive_pruning(self):
         sched = Scheduler()
         child = self._proc(9, 0)
