@@ -66,9 +66,15 @@ SMOKE_NS = (1, 64)
 #: acceptance headroom before "scales to N tenants" is considered broken.
 STEP_COST_CEILING = 3.0
 
-#: Repetitions; best-of, as elsewhere in the bench suite.  The N=1 arena
-#: retires only a few dozen steps, so single shots are all warm-up noise.
-BEST_OF = 5
+#: Each N is rerun until its timed run phases add up to at least this
+#: many seconds, and ns/step is total time over total steps.  The N=1
+#: arena retires 60 steps in a few milliseconds, so a single shot (or a
+#: best-of-a-few) is timer noise next to a multi-second N=1024 run.
+MIN_TIMED_S = 0.5
+
+#: At least this many runs per N, so the determinism check always has
+#: two digests to compare.
+MIN_REPS = 2
 
 
 def _run_arena_timed(n: int, seed: int = ARENA_SEED) -> Tuple[float, int, str]:
@@ -99,20 +105,22 @@ def _run_arena_timed(n: int, seed: int = ARENA_SEED) -> Tuple[float, int, str]:
 
 
 def bench_arena_size(n: int) -> Dict:
-    """Best-of-``BEST_OF`` per-step cost at one N, plus the digest."""
-    best_ns_per_step = float("inf")
-    steps = 0
-    digest = ""
+    """Per-step cost at one N over >= ``MIN_TIMED_S`` of runs, plus the digest."""
+    total_s = 0.0
+    total_steps = 0
+    reps = 0
     digests = set()
-    for _ in range(BEST_OF):
+    while reps < MIN_REPS or total_s < MIN_TIMED_S:
         elapsed, steps, digest = _run_arena_timed(n)
         digests.add(digest)
-        if steps:
-            best_ns_per_step = min(best_ns_per_step, elapsed * 1e9 / steps)
+        total_s += elapsed
+        total_steps += steps
+        reps += 1
     return {
         "n": n,
         "steps": steps,
-        "ns_per_step": round(best_ns_per_step, 1),
+        "repetitions": reps,
+        "ns_per_step": round(total_s * 1e9 / max(total_steps, 1), 1),
         "digest": digest,
         # Every repetition reruns the same seed; a run-to-run digest
         # split means nondeterminism and is gated even without --check.

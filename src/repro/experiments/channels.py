@@ -56,7 +56,7 @@ from repro.obs.export import stream_digest, write_jsonl
 from repro.sim import Kernel, MachineConfig, PLATFORMS, TransientError
 from repro.sim import syscalls as sc
 from repro.sim.arena import Arena, ArenaClient, make_policy
-from repro.sim.clock import MILLIS, SECONDS
+from repro.sim.clock import SECONDS
 from repro.sim.inject import (
     FaultInjector,
     horizon_after,

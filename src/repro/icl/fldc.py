@@ -22,7 +22,6 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.icl.base import ICL, TechniqueProfile, register_icl
 from repro.sim import syscalls as sc
-from repro.sim.fs.inode import StatResult
 
 MIB = 1024 * 1024
 COPY_CHUNK = 1 * MIB

@@ -18,7 +18,7 @@ gbp" bars in Figure 3 carry the slight extra cost the paper reports.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from repro.icl.compose import compose_order
 from repro.icl.fccd import FCCD

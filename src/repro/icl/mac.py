@@ -25,7 +25,7 @@ resident when ``gb_alloc`` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
 from repro.icl.base import ICL, TechniqueProfile, register_icl

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, List, Sequence, Set, Tuple
 
 from repro.sim import syscalls as sc
 

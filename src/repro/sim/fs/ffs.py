@@ -59,28 +59,39 @@ class CylinderGroup:
         # *behind* the rotor while their recycled i-numbers are the
         # *lowest* free ones (Figure 6's degradation).
         self.rotor = 0
-        # Lowest-free-first inode slots (lazy heap + membership set).
-        self._free_inode_heap: List[int] = list(range(inodes_per_cg))
-        self._free_inode_set: Set[int] = set(self._free_inode_heap)
+        # Lowest-free-first inode slots, in O(1) space at mkfs.  Slots
+        # at or above the watermark have never been handed out.  Every
+        # freed slot lies below the watermark and sits in the heap (the
+        # set mirrors it for the double-free check), so the lowest free
+        # slot is the heap's minimum when the heap is non-empty, and the
+        # watermark otherwise.
+        self._inode_watermark = 0
+        self._freed_inode_heap: List[int] = []
+        self._freed_inode_set: Set[int] = set()
 
     # --- inodes -------------------------------------------------------
     @property
     def free_inode_count(self) -> int:
-        return len(self._free_inode_set)
+        return self.inodes_per_cg - self._inode_watermark + len(self._freed_inode_set)
 
     def alloc_inode_slot(self) -> Optional[int]:
-        while self._free_inode_heap:
-            slot = heapq.heappop(self._free_inode_heap)
-            if slot in self._free_inode_set:
-                self._free_inode_set.remove(slot)
-                return slot
+        if self._freed_inode_heap:
+            slot = heapq.heappop(self._freed_inode_heap)
+            self._freed_inode_set.remove(slot)
+            return slot
+        if self._inode_watermark < self.inodes_per_cg:
+            slot = self._inode_watermark
+            self._inode_watermark += 1
+            return slot
         return None
 
     def free_inode_slot(self, slot: int) -> None:
-        if slot in self._free_inode_set:
+        if not 0 <= slot < self._inode_watermark:
+            raise InvalidArgument(f"free of unallocated inode slot {slot} in cg {self.index}")
+        if slot in self._freed_inode_set:
             raise InvalidArgument(f"double free of inode slot {slot} in cg {self.index}")
-        self._free_inode_set.add(slot)
-        heapq.heappush(self._free_inode_heap, slot)
+        self._freed_inode_set.add(slot)
+        heapq.heappush(self._freed_inode_heap, slot)
 
     # --- blocks -------------------------------------------------------
     def alloc_run(self, want: int, hint: Optional[int] = None) -> List[int]:
@@ -163,10 +174,13 @@ class FFS:
             )
             first += blocks_per_cg
             index += 1
+        # Running sum of every group's free_block_count, kept by the
+        # allocate and free paths.
+        self._free_blocks = sum(cg.free_block_count for cg in self.groups)
         self.inodes: Dict[int, Inode] = {}
         self.directories: Dict[int, Directory] = {}
         # Reserve global ino 0 as invalid, like real FFS.
-        self.groups[0]._free_inode_set.discard(0)
+        self.groups[0].alloc_inode_slot()
         self._make_root()
 
     # ------------------------------------------------------------------
@@ -201,7 +215,7 @@ class FFS:
         return self.directories[ROOT_INO]
 
     def free_blocks_total(self) -> int:
-        return sum(cg.free_block_count for cg in self.groups)
+        return self._free_blocks
 
     # ------------------------------------------------------------------
     # Allocation
@@ -222,7 +236,7 @@ class FFS:
         """Allocate ``want`` blocks, preferring the given group, spilling onward."""
         if want <= 0:
             return []
-        if want > self.free_blocks_total():
+        if want > self._free_blocks:
             raise NoSpace(f"fs{self.fs_id}: need {want} blocks, fewer free")
         blocks: List[int] = []
         n = len(self.groups)
@@ -230,6 +244,7 @@ class FFS:
             cg = self.groups[(preferred_cg + offset) % n]
             use_hint = hint if offset == 0 else None
             got = cg.alloc_run(want - len(blocks), use_hint)
+            self._free_blocks -= len(got)
             if got and self.alloc_gap:
                 # Loose packing (solaris7 personality): leave a hole
                 # after each allocation request.
@@ -242,6 +257,7 @@ class FFS:
     def free_block_list(self, blocks: List[int]) -> None:
         for block in blocks:
             self.cg_of_block(block).free_block(block)
+            self._free_blocks += 1
 
     def pick_cg_for_directory(self) -> int:
         """FFS heuristic: put a new directory in the emptiest group."""

@@ -64,6 +64,7 @@ class LogStructuredFS(FFS):
             cg = self.cg_of_block(block)
             cg._bitmap[block - cg.data_first] = 1
             cg.free_block_count -= 1
+        self._free_blocks -= len(blocks)
         self._log_head = head
         return blocks
 
@@ -74,6 +75,7 @@ class LogStructuredFS(FFS):
             if cg._bitmap[block - cg.data_first]:
                 cg._bitmap[block - cg.data_first] = 0
                 cg.free_block_count += 1
+                self._free_blocks += 1
 
     def rewrite_pages(self, inode, first: int, last: int) -> None:
         """Copy-on-write: overwritten pages move to the log head."""

@@ -9,7 +9,7 @@ decide whether a stale measurement should be re-run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 

@@ -1,9 +1,11 @@
 """FFS allocator: i-numbers, cylinder groups, contiguity, aging."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from repro.sim import Kernel, MachineConfig
 from repro.sim.errors import (
     DirectoryNotEmpty,
     FileExists,
@@ -287,3 +289,26 @@ class TestNamespace:
             create_file(fs, f"file-with-a-long-name-{i:04d}", BLOCK)
         root = fs.get_inode(ROOT_INO)
         assert len(root.blocks) >= 2
+
+
+def test_boot_footprint_is_bounded_by_the_block_bitmaps():
+    """mkfs costs O(cylinder groups), not O(inodes): booting the default
+    machine allocates at most twice the bytes of its block bitmaps."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kernel = Kernel(MachineConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    bitmap_bytes = sum(
+        len(cg._bitmap) for fs in kernel._fs_by_id.values() for cg in fs.groups
+    )
+    assert peak - before <= 2 * bitmap_bytes, (
+        f"boot allocated {(peak - before) / 1e6:.1f} MB for "
+        f"{bitmap_bytes / 1e6:.1f} MB of block bitmaps"
+    )

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.errors import NoSpace, SimOSError
-from repro.sim.fs.ffs import FFS, ROOT_INO
+from repro.sim.errors import InvalidArgument, NoSpace
+from repro.sim.fs.ffs import FFS, ROOT_INO, CylinderGroup
 from repro.sim.fs.inode import FileKind
 from repro.sim.fs.lfs import LogStructuredFS
 
@@ -57,6 +57,13 @@ def apply_ops(fs: FFS, ops):
     return live
 
 
+def assert_free_total_audited(fs: FFS) -> None:
+    """The running free-block total against its sources of truth."""
+    assert fs.free_blocks_total() == sum(
+        cg.free_block_count for cg in fs.groups
+    ) == sum(cg._bitmap.count(0) for cg in fs.groups)
+
+
 def fresh_fs(cls=FFS) -> FFS:
     return cls(
         fs_id=0, total_blocks=4096, block_bytes=BLOCK,
@@ -85,6 +92,7 @@ def test_free_counts_match_bitmaps(ops):
     apply_ops(fs, ops)
     for cg in fs.groups:
         assert cg.free_block_count == cg._bitmap.count(0)
+    assert_free_total_audited(fs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,6 +136,7 @@ def test_lfs_satisfies_the_same_invariants(ops):
             assert block not in seen
             seen.add(block)
     assert set(fs.root.names()) == set(live)
+    assert_free_total_audited(fs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,3 +147,55 @@ def test_file_sizes_covered_by_block_maps(ops):
     for inode in fs.inodes.values():
         need = -(-inode.size // BLOCK)
         assert len(inode.blocks) >= need
+
+
+def test_free_blocks_total_survives_a_failing_free_midway():
+    fs = fresh_fs()
+    inode = fs.create(ROOT_INO, "f", FileKind.FILE, now_ns=0)
+    fs.grow_to_size(inode, 4 * BLOCK)
+    blocks = list(inode.blocks)
+    fs.free_block_list(blocks[:1])
+    # Frees blocks[1], then raises on the already-free blocks[0] before
+    # reaching blocks[2:].
+    with pytest.raises(InvalidArgument):
+        fs.free_block_list([blocks[1], blocks[0]] + blocks[2:])
+    assert_free_total_audited(fs)
+
+
+SLOTS = 4
+
+slot_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["alloc", "free", "bad_free"]),
+        st.integers(min_value=0, max_value=SLOTS),  # picks the slot to free
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=slot_ops)
+def test_inode_slots_match_lowest_free_first_model(ops):
+    """The watermark allocator against a plain set of free slots."""
+    cg = CylinderGroup(0, 0, 64, inodes_per_cg=SLOTS, block_bytes=BLOCK)
+    free = set(range(SLOTS))
+    for op, pick in ops:
+        if op == "alloc":
+            got = cg.alloc_inode_slot()
+            if free:
+                assert got == min(free)
+                free.remove(got)
+            else:
+                assert got is None
+        elif op == "free":
+            allocated = sorted(set(range(SLOTS)) - free)
+            if allocated:
+                slot = allocated[pick % len(allocated)]
+                cg.free_inode_slot(slot)
+                free.add(slot)
+        else:
+            # A double free, a slot never handed out, or one out of range.
+            bad = sorted(free | {-1, SLOTS})
+            with pytest.raises(InvalidArgument):
+                cg.free_inode_slot(bad[pick % len(bad)])
+        assert cg.free_inode_count == len(free)

@@ -1,9 +1,10 @@
-"""Keep ``src/repro/sim`` clean of unused/duplicate imports, and keep
-host clocks out of the simulator and the ICLs.
+"""Keep ``src/repro`` clean of unused/duplicate imports, and keep host
+clocks out of the simulator and the ICLs.
 
-CI runs the real ``ruff check`` + ``mypy`` (lint job); this test runs the
-offline subset in ``tools/lint_imports.py`` so the same class of violation
-fails fast in environments without the linters installed.
+CI runs the real ``ruff check`` + ``mypy`` (lint job) over
+``src/repro/sim``; this test runs the offline subset in
+``tools/lint_imports.py`` over the whole package, so the same class of
+violation fails fast in environments without the linters installed.
 """
 
 import ast
@@ -18,7 +19,7 @@ from lint_imports import check_file  # noqa: E402
 
 def test_sim_package_import_hygiene():
     findings = []
-    for path in sorted((REPO_ROOT / "src" / "repro" / "sim").rglob("*.py")):
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
         findings.extend(check_file(path))
     assert not findings, "\n".join(findings)
 

@@ -103,6 +103,10 @@ def test_chaos_processes_preserve_invariants(seeds, steps):
         mapped = sum(len(inode.blocks) for inode in fs.inodes.values())
         used = sum(cg.data_blocks - cg.free_block_count for cg in fs.groups)
         assert used == mapped
+        # The running free-block total agrees with the groups and bitmaps.
+        assert fs.free_blocks_total() == sum(
+            cg.free_block_count for cg in fs.groups
+        ) == sum(cg._bitmap.count(0) for cg in fs.groups)
 
 
 @settings(max_examples=15, deadline=None)
